@@ -114,7 +114,7 @@ def _seed_reference(store, forest, query, engine):
 def _assert_seed_identity(store, forest, queries):
     """Materialized == seed evaluator (both engines), counts == len,
     exists == truthiness — on every measured query."""
-    with QueryService(store, workers=0) as service:
+    with QueryService(store, backend="serial") as service:
         for engine in ENGINES:
             materialized = service.execute_batch(
                 queries, engine=engine, use_cache=False
@@ -161,7 +161,7 @@ def test_exists_speedup(modes_store, modes_forest, emit, benchmark):
     def run():
         rows.clear()
         _assert_seed_identity(modes_store, modes_forest, EXISTS_BATCH)
-        with QueryService(modes_store, workers=0) as service:
+        with QueryService(modes_store, backend="serial") as service:
             service.execute_batch(EXISTS_BATCH, use_cache=False)  # warm mmaps
             mat_s, materialized = _best_batch_seconds(
                 service, EXISTS_BATCH, "materialize", cold=True
@@ -201,7 +201,7 @@ def test_count_speedup(modes_store, modes_forest, emit, benchmark):
     def run():
         rows.clear()
         _assert_seed_identity(modes_store, modes_forest, COUNT_BATCH)
-        with QueryService(modes_store, workers=WORKERS) as service:
+        with QueryService(modes_store, backend=f"pool:{WORKERS}") as service:
             service.execute_batch(COUNT_BATCH, use_cache=False)  # warm pool
             mat_s, materialized = _best_batch_seconds(
                 service, COUNT_BATCH, "materialize", cold=False

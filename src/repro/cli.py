@@ -84,11 +84,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     doc = _load_document(args.document)
     stats = JoinStatistics()
     evaluator = Evaluator(
-        doc,
-        strategy=args.strategy,
-        engine=args.engine,
-        pushdown=args.pushdown,
-        stats=stats,
+        doc, engine=args.engine, pushdown=args.pushdown, stats=stats
     )
     if args.mode != "materialize":
         if args.serialize or args.limit is not None:
@@ -249,19 +245,6 @@ def _backend_spec(value: str) -> str:
     return value
 
 
-def _backend_kwargs(args: argparse.Namespace) -> dict:
-    """Map ``--backend``/``--workers`` onto ``QueryService`` arguments.
-
-    ``--workers`` is the deprecated spelling; passing it alongside
-    ``--backend`` is rejected by the service (``--backend pool:4``
-    covers the combination).
-    """
-    kwargs: dict = {"backend": args.backend}
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    return kwargs
-
-
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
     from repro.service import QueryService, ShardedStore
 
@@ -286,7 +269,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         store,
         engine=args.engine,
         planner=not args.no_planner,
-        **_backend_kwargs(args),
+        backend=args.backend,
     )
     with service:
         for round_number in range(1, args.repeat + 1):
@@ -312,7 +295,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.stats:
-            print(f"service statistics: {service.cache_info()}", file=sys.stderr)
+            print(f"service statistics: {service.stats_snapshot()}", file=sys.stderr)
     return 0
 
 
@@ -337,7 +320,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store,
         engine=args.engine,
         planner=not args.no_planner,
-        **_backend_kwargs(args),
+        backend=args.backend,
     )
     with service:
         asyncio.run(QueryServer(service, config).serve())
@@ -534,41 +517,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                     f"{result.elapsed_s * 1000:.2f} ms"
                 )
         else:
-            from repro.feedback.records import DriveObservation, PipelineObserver
-            from repro.xpath.pipeline import drive
+            from repro.service.executor import observed_drive
 
-            pipeline = compile_plan(plan, mode="materialize")
+            pipeline = compile_plan(plan)
             evaluator = Evaluator(doc, engine=args.engine)
             evaluator._set_pushdown(pipeline.pushdown_steps)
             if pipeline.skip_mode is not None:
                 evaluator.axes.mode = pipeline.skip_mode
-            observer = PipelineObserver()
-            evaluator.observer = observer
-            started = time.perf_counter_ns()
-            pres = drive(pipeline, evaluator)
-            elapsed = time.perf_counter_ns() - started
-            evaluator.observer = None
-            observation = DriveObservation(
-                shard_id=0,
-                engine=evaluator.engine,
-                elapsed_ns=elapsed,
-                steps=tuple(observer.steps),
-                scanned=evaluator.stats.nodes_scanned,
-                skipped=evaluator.stats.nodes_skipped,
-            )
+            observation, pres = observed_drive(evaluator, pipeline, shard_id=0)
             print(_render_analysis(plan, [observation]))
-            print(f"result: {len(pres):,} node(s), {elapsed / 1e6:.2f} ms")
-    if args.operators:
-        from repro.engine.explain import explain
-
-        if store is not None:
             print(
-                "(--operators needs a single document, not a store)",
-                file=sys.stderr,
+                f"result: {len(pres):,} node(s), "
+                f"{observation.elapsed_ns / 1e6:.2f} ms"
             )
-        else:
-            print()
-            print(explain(doc, args.xpath, pushdown=pushdown))
     return 0
 
 
@@ -601,11 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--engine", choices=("scalar", "vectorized"), default=None,
         help="execution engine: per-node scalar loops (default) or numpy "
-        "bulk kernels for every axis step; overrides --strategy",
-    )
-    cmd.add_argument(
-        "--strategy", choices=("staircase", "vectorized"), default=None,
-        help="deprecated alias for --engine (staircase = scalar)",
+        "bulk kernels for every axis step",
     )
     cmd.add_argument("--serialize", action="store_true", help="print result subtrees as XML")
     cmd.add_argument("--limit", type=int, default=None, help="show at most N results")
@@ -682,10 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or a pool with one worker per shard",
     )
     cmd.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated: use --backend (0 = serial, N = pool:N)",
-    )
-    cmd.add_argument(
         "--repeat", type=int, default=1,
         help="run the batch N times (later rounds hit the result cache)",
     )
@@ -753,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or a pool with one worker per shard",
     )
     cmd.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated: use --backend (0 = serial, N = pool:N)",
-    )
-    cmd.add_argument(
         "--no-planner", action="store_true",
         help="skip cost-based planning and prefix sharing",
     )
@@ -822,10 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--engine", choices=("scalar", "vectorized"), default="vectorized",
         help="engine the costs are modelled for (default: vectorized)",
-    )
-    cmd.add_argument(
-        "--operators", action="store_true",
-        help="also print the operator-level rendering (single documents)",
     )
     cmd.add_argument(
         "--analyze", action="store_true",

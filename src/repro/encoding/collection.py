@@ -112,10 +112,17 @@ class DocumentCollection:
         return self.span(name)[0]
 
     def tag_statistics(self) -> Dict[str, int]:
-        """Per-tag element counts of the gathered plane (virtual root
-        included — it is one more element of its tag, exactly as a query
-        over the plane would see it)."""
-        return self.doc.tag_statistics()
+        """Per-tag element counts of the member documents.
+
+        The synthetic virtual root is left out: a store has one per
+        shard plane, so counting it would make the statistics depend on
+        how many shards the documents happen to fill.
+        """
+        counts = self.doc.tag_statistics()
+        remaining = counts.pop(self.virtual_root_tag) - 1
+        if remaining:
+            counts[self.virtual_root_tag] = remaining
+        return counts
 
     def document_of(self, pre: int) -> Optional[str]:
         """Which member a preorder rank belongs to (None = virtual root)."""

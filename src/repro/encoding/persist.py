@@ -41,9 +41,10 @@ from __future__ import annotations
 import os
 import pickle
 import struct
+import threading
 import zipfile
 import zlib
-from typing import Dict, Tuple
+from typing import BinaryIO, Dict, Tuple
 
 import numpy as np
 
@@ -115,6 +116,13 @@ _PACKED_REQUIRED = frozenset(
         for part in ("refs", "bits", "offsets", "packed")
     }
 )
+
+#: numpy parses every ``.npy`` header with ``ast.literal_eval``, and the
+#: AST builder of CPython 3.11 keeps its recursion-depth bookkeeping in
+#: interpreter-wide state: two threads parsing at once can fail with
+#: ``SystemError``.  A query thread opening a shard while a commit opens
+#: another does exactly that, so every member read here holds this lock.
+_HEADER_LOCK = threading.Lock()
 
 #: Errors that mean "this file is not a healthy archive" — normalised to
 #: :class:`EncodingError` so callers never see a raw zip traceback.
@@ -226,26 +234,25 @@ def _save_packed(doc: DocTable, path: str, page_size: int) -> None:
     np.savez(path, **members)
 
 
-def _member_data_offset(path: str, info: zipfile.ZipInfo) -> int:
+def _member_data_offset(path: str, raw: BinaryIO, info: zipfile.ZipInfo) -> int:
     """Byte offset of a stored member's data inside the archive file.
 
     The central directory's name/extra lengths can differ from the local
     file header's, so the local header must be re-read.
     """
-    with open(path, "rb") as raw:
-        raw.seek(info.header_offset)
-        header = raw.read(30)
-        if len(header) != 30 or header[:4] != b"PK\x03\x04":
-            raise EncodingError(f"{path}: corrupt local header for {info.filename!r}")
-        name_len, extra_len = struct.unpack("<HH", header[26:30])
-        return info.header_offset + 30 + name_len + extra_len
+    raw.seek(info.header_offset)
+    header = raw.read(30)
+    if len(header) != 30 or header[:4] != b"PK\x03\x04":
+        raise EncodingError(f"{path}: corrupt local header for {info.filename!r}")
+    name_len, extra_len = struct.unpack("<HH", header[26:30])
+    return info.header_offset + 30 + name_len + extra_len
 
 
-def _mmap_member(path: str, info: zipfile.ZipInfo) -> np.ndarray:
-    """Memory-map one stored ``.npy`` member (read-only, zero-copy)."""
-    data_offset = _member_data_offset(path, info)
-    with open(path, "rb") as raw:
-        raw.seek(data_offset)
+def _mmap_member(path: str, raw: BinaryIO, info: zipfile.ZipInfo) -> np.ndarray:
+    """Memory-map one stored ``.npy`` member (read-only, zero-copy)
+    through the archive's open file ``raw``."""
+    raw.seek(_member_data_offset(path, raw, info))
+    with _HEADER_LOCK:
         version = np.lib.format.read_magic(raw)
         if version == (1, 0):
             shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
@@ -255,10 +262,10 @@ def _mmap_member(path: str, info: zipfile.ZipInfo) -> np.ndarray:
             raise EncodingError(
                 f"{path}: unsupported .npy version {version} in {info.filename!r}"
             )
-        array_offset = raw.tell()
+    array_offset = raw.tell()
     try:
         return np.memmap(
-            path,
+            raw,
             dtype=dtype,
             mode="r",
             offset=array_offset,
@@ -289,19 +296,22 @@ def _stored_info(
     return info
 
 
-def _mmap_columns(path: str) -> Tuple[np.ndarray, ...]:
+def _mmap_columns(path: str, raw: BinaryIO) -> Tuple[np.ndarray, ...]:
     """Map the numeric columns of a v2 archive in place."""
-    with zipfile.ZipFile(path) as archive:
+    with zipfile.ZipFile(raw) as archive:
         columns = []
         for member in _NUMERIC_MEMBERS:
-            columns.append(_mmap_member(path, _stored_info(path, archive, member)))
+            columns.append(
+                _mmap_member(path, raw, _stored_info(path, archive, member))
+            )
     return tuple(columns)
 
 
 def _read_member(path: str, archive: "np.lib.npyio.NpzFile", name: str) -> np.ndarray:
     """Read one npz member, normalising corruption to :class:`EncodingError`."""
     try:
-        return archive[name]
+        with _HEADER_LOCK:
+            return archive[name]
     except KeyError as error:
         raise EncodingError(f"{path}: missing member {name!r}") from error
     except FileNotFoundError:
@@ -340,9 +350,27 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             f"unknown decode_cache {decode_cache!r}; expected 'full' or 'blocks'"
         )
     try:
-        archive = np.load(path, allow_pickle=True)
+        raw = open(path, "rb")
     except FileNotFoundError:
         raise
+    except OSError as error:
+        raise EncodingError(
+            f"{path}: not a readable DocTable archive: {error}"
+        ) from error
+    with raw:
+        return _load_archive(path, raw, mmap, decode_cache)
+
+
+def _load_archive(
+    path: str, raw: BinaryIO, mmap: bool, decode_cache: str
+) -> DocTable:
+    """:func:`load` on the archive's open file.
+
+    Every member is read and mapped through ``raw``, so a commit that
+    unlinks ``path`` after the open cannot fail the load half-way.
+    """
+    try:
+        archive = np.load(raw, allow_pickle=True)
     except _ARCHIVE_ERRORS as error:
         raise EncodingError(
             f"{path}: not a readable DocTable archive: {error}"
@@ -360,7 +388,7 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
                 f"supported {SUPPORTED_VERSIONS}"
             )
         if version == 3:
-            return _load_packed(path, archive, names, mmap, decode_cache)
+            return _load_packed(path, raw, archive, names, mmap, decode_cache)
         if not _REQUIRED_MEMBERS <= names:
             raise EncodingError(
                 f"{path}: not a DocTable archive "
@@ -380,7 +408,7 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             kind = _read_member(path, archive, "kind").astype(np.int64)
             tag_codes = _read_member(path, archive, "tag_codes")
     if mmap and version >= 2:
-        post, level, parent, kind, tag_codes = _mmap_columns(path)
+        post, level, parent, kind, tag_codes = _mmap_columns(path, raw)
         # The archive was written from an already-validated table; skip
         # the permutation/range re-checks so opening touches as few
         # pages as possible.
@@ -406,6 +434,7 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
 
 def _load_packed(
     path: str,
+    raw: BinaryIO,
     archive: "np.lib.npyio.NpzFile",
     names: set,
     mmap: bool,
@@ -477,18 +506,18 @@ def _load_packed(
     # Paged open: map every packed blob in place, decode nothing yet.
     from repro.core.paged import PagedPlane
 
-    with zipfile.ZipFile(path) as container:
+    with zipfile.ZipFile(raw) as container:
         blobs = {
             column: _mmap_member(
-                path, _stored_info(path, container, f"{column}_packed")
+                path, raw, _stored_info(path, container, f"{column}_packed")
             )
             for column, _ in _PACKED_COLUMNS
         }
         value_blob = _mmap_member(
-            path, _stored_info(path, container, "value_dict_blob")
+            path, raw, _stored_info(path, container, "value_dict_blob")
         )
         value_offsets = _mmap_member(
-            path, _stored_info(path, container, "value_dict_offsets")
+            path, raw, _stored_info(path, container, "value_dict_offsets")
         )
     cache_full = decode_cache == "full"
     columns: Dict[str, PagedArray] = {}

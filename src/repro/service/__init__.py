@@ -35,7 +35,6 @@ from repro.service.backend import (
 )
 from repro.service.cache import LRUCache
 from repro.service.executor import (
-    ShardExecutor,
     ShardResult,
     ShardWorkerState,
     available_cpus,
@@ -53,7 +52,6 @@ __all__ = [
     "FabricBackend",
     "PoolBackend",
     "SerialBackend",
-    "ShardExecutor",
     "ShardResult",
     "ShardWorkerState",
     "default_workers",

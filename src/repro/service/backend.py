@@ -21,20 +21,16 @@ choice is purely an execution-strategy one:
 ============  ======================================================
 
 Construct one with :func:`make_backend` (or pass an instance /
-spec string to ``QueryService(backend=...)``).  The historical
-``workers=N`` sentinel still works everywhere it used to, through a
-deprecation shim (:func:`resolve_backend`): ``workers=0`` maps to
-``serial``, ``workers>0`` to ``pool``.  The ``REPRO_BACKEND``
-environment variable supplies the *default* spec when neither
-``backend`` nor ``workers`` is given — the hook the CI backend matrix
-uses to run one test suite per backend.
+spec string to ``QueryService(backend=...)``).  The ``REPRO_BACKEND``
+environment variable supplies the *default* spec when no ``backend``
+is given — the hook the CI backend matrix uses to run one test suite
+per backend.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -62,7 +58,7 @@ __all__ = [
 
 #: Environment variable supplying the default backend spec (e.g.
 #: ``serial``, ``pool``, ``pool:4``, ``fabric``) when a caller passes
-#: neither ``backend`` nor ``workers``.  Explicit arguments always win.
+#: no ``backend``.  An explicit argument always wins.
 BACKEND_ENV = "REPRO_BACKEND"
 
 
@@ -246,10 +242,10 @@ class PoolBackend(ExecutionBackend):
 
     def __init__(self, store: ShardedStore, workers: Optional[int] = None):
         super().__init__(store)
-        if workers is not None and workers < 0:
-            raise ReproError("workers must be >= 0")
+        if workers is not None and workers < 1:
+            raise ReproError("workers must be >= 1")
         self._workers = (
-            default_workers(store) if not workers else int(workers)
+            default_workers(store) if workers is None else int(workers)
         )
         self._pool = None
 
@@ -286,9 +282,9 @@ class PoolBackend(ExecutionBackend):
 def parse_backend_spec(spec: str) -> tuple:
     """Split ``"name[:N]"`` into ``(name, workers-or-None)``.
 
-    Raises :class:`ReproError` on an unknown name or a malformed count
-    — shared by :func:`make_backend` and the CLI's argument validation
-    (which maps it to a usage error).
+    Raises :class:`ReproError` on an unknown name or a malformed or
+    non-positive count — shared by :func:`make_backend` and the CLI's
+    argument validation (which maps it to a usage error).
     """
     name, _, suffix = spec.partition(":")
     name = name.strip().lower()
@@ -302,26 +298,25 @@ def parse_backend_spec(spec: str) -> tuple:
             workers = int(suffix)
         except ValueError:
             raise ReproError(f"bad worker count in backend spec {spec!r}")
+        if workers < 1:
+            raise ReproError(
+                f"bad worker count in backend spec {spec!r} (must be >= 1)"
+            )
     return name, workers
 
 
-def make_backend(
-    spec, store: ShardedStore, workers: Optional[int] = None
-) -> ExecutionBackend:
+def make_backend(spec, store: ShardedStore) -> ExecutionBackend:
     """Build a backend from a spec.
 
     ``spec`` is a backend instance (returned as-is), a name
     (``"serial"``, ``"pool"``, ``"fabric"``), or a ``"name:N"`` string
-    fixing the worker count (``"pool:4"``).  An explicit ``workers``
-    argument overrides the suffix.
+    fixing the worker count (``"pool:4"``).
     """
     if isinstance(spec, ExecutionBackend):
         return spec
     if not isinstance(spec, str):
         raise ReproError(f"not a backend spec: {spec!r}")
-    name, suffix_workers = parse_backend_spec(spec)
-    if workers is None:
-        workers = suffix_workers
+    name, workers = parse_backend_spec(spec)
     if name == "serial":
         return SerialBackend(store)
     if name == "pool":
@@ -331,35 +326,15 @@ def make_backend(
     return FabricBackend(store, workers=workers)
 
 
-#: Sentinel distinguishing "argument not passed" from an explicit None.
-_UNSET = object()
+def resolve_backend(store: ShardedStore, backend=None) -> ExecutionBackend:
+    """Resolve ``QueryService``'s ``backend`` argument.
 
-
-def resolve_backend(
-    store: ShardedStore, backend=None, workers=_UNSET
-) -> ExecutionBackend:
-    """Resolve ``QueryService``'s ``backend``/``workers`` arguments.
-
-    Precedence: an explicit ``backend`` wins; else an explicit
-    ``workers`` count is honoured through the deprecation shim
-    (``0`` → serial, else pool — the historical sentinel); else the
+    Precedence: an explicit ``backend`` wins; else the
     ``REPRO_BACKEND`` environment variable names the default; else a
     pool sized by :func:`~repro.service.executor.default_workers`.
     """
     if backend is not None:
-        if workers is not _UNSET and workers is not None:
-            raise ReproError("pass backend= or workers=, not both")
         return make_backend(backend, store)
-    if workers is not _UNSET and workers is not None:
-        warnings.warn(
-            "QueryService(workers=...) is deprecated; use "
-            "backend='serial'/'pool'/'fabric' (or a backend instance)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers == 0:
-            return SerialBackend(store)
-        return PoolBackend(store, workers=workers)
     spec = os.environ.get(BACKEND_ENV)
     if spec:
         return make_backend(spec, store)

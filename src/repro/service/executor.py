@@ -51,7 +51,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -75,12 +74,12 @@ from repro.xpath.pipeline import (
 
 __all__ = [
     "PrefixContextCache",
-    "ShardExecutor",
     "ShardResult",
     "ShardTask",
     "ShardWorkerState",
     "available_cpus",
     "default_workers",
+    "observed_drive",
 ]
 
 
@@ -238,6 +237,50 @@ class PrefixContextCache(LRUCache):
                 "bytes": self._bytes,
                 "budget_bytes": self.budget_bytes,
             }
+
+
+def observed_drive(
+    evaluator: Evaluator,
+    pipeline: PhysicalPlan,
+    shard_id: int,
+    exclude_pre: Optional[int] = None,
+):
+    """Drive ``pipeline`` (materializing) with the observation layer
+    attached; returns ``(observation, pres)``.
+
+    The caller has already applied the plan's evaluator-level decisions
+    (pushdown set, skip mode).  The :class:`DriveObservation` carries
+    the per-operator records and the scan/skip/page-block counters the
+    drive moved.  The result frontier is byte-identical to an
+    unobserved drive: observation only reads counters, it never steers
+    execution.
+    """
+    observer = PipelineObserver()
+    stats = evaluator.stats
+    plane = getattr(evaluator.doc, "plane", None)
+    blocks_before = plane.totals()["blocks_decoded"] if plane is not None else 0
+    scanned_before = stats.nodes_scanned
+    skipped_before = stats.nodes_skipped
+    evaluator.observer = observer
+    started = time.perf_counter_ns()
+    try:
+        pres = drive(
+            pipeline.with_mode("materialize"), evaluator, exclude_pre=exclude_pre
+        )
+    finally:
+        evaluator.observer = None
+    elapsed = time.perf_counter_ns() - started
+    blocks_after = plane.totals()["blocks_decoded"] if plane is not None else 0
+    observation = DriveObservation(
+        shard_id=shard_id,
+        engine=evaluator.engine,
+        elapsed_ns=elapsed,
+        steps=tuple(observer.steps),
+        scanned=stats.nodes_scanned - scanned_before,
+        skipped=stats.nodes_skipped - skipped_before,
+        blocks=blocks_after - blocks_before,
+    )
+    return observation, pres
 
 
 class ShardWorkerState:
@@ -411,8 +454,8 @@ class ShardWorkerState:
                 # Sampled drive: the observation layer rides along.
                 # Exists-mode tasks are never observed — their early
                 # termination yields biased partial cardinalities.
-                observation, pres = self._observed_drive(
-                    task, collection, evaluator, pipeline
+                observation, pres = observed_drive(
+                    evaluator, pipeline, task.shard_id, exclude_pre=root
                 )
                 payload = self._finish(task, collection, pres)
                 return replace(
@@ -424,52 +467,6 @@ class ShardWorkerState:
                 )
                 payload = self._finish(task, collection, pres)
         return ShardResult.of(task, payload)
-
-    def _observed_drive(
-        self,
-        task: ShardTask,
-        collection,
-        evaluator: Evaluator,
-        pipeline: PhysicalPlan,
-    ):
-        """Drive one pipeline with the observation layer attached.
-
-        Caller holds :meth:`_applied`.  Returns ``(observation, pres)``;
-        the result frontier is byte-identical to an unobserved drive —
-        observation only reads counters, it never steers execution.
-        """
-        observer = PipelineObserver()
-        stats = evaluator.stats
-        plane = getattr(collection.doc, "plane", None)
-        blocks_before = (
-            plane.totals()["blocks_decoded"] if plane is not None else 0
-        )
-        scanned_before = stats.nodes_scanned
-        skipped_before = stats.nodes_skipped
-        evaluator.observer = observer
-        started = time.perf_counter_ns()
-        try:
-            pres = drive(
-                pipeline.with_mode("materialize"),
-                evaluator,
-                exclude_pre=collection.doc.root,
-            )
-        finally:
-            evaluator.observer = None
-        elapsed = time.perf_counter_ns() - started
-        blocks_after = (
-            plane.totals()["blocks_decoded"] if plane is not None else 0
-        )
-        observation = DriveObservation(
-            shard_id=task.shard_id,
-            engine=task.engine,
-            elapsed_ns=elapsed,
-            steps=tuple(observer.steps),
-            scanned=stats.nodes_scanned - scanned_before,
-            skipped=stats.nodes_skipped - skipped_before,
-            blocks=blocks_after - blocks_before,
-        )
-        return observation, pres
 
     # ------------------------------------------------------------------
     # Shared-prefix batch execution
@@ -637,24 +634,3 @@ def _split_for_pool(
 def _item_mode(item: Sequence) -> str:
     """Result mode of a ``run_batch`` item (3-tuples materialize)."""
     return item[3] if len(item) > 3 else "materialize"
-
-
-def ShardExecutor(store: ShardedStore, workers: Optional[int] = None):
-    """Deprecated: the ``workers`` sentinel mapped onto a backend.
-
-    ``ShardExecutor(store, workers=0)`` returns a
-    :class:`~repro.service.backend.SerialBackend`; any other worker
-    count returns a :class:`~repro.service.backend.PoolBackend`.  New
-    code should construct backends directly (or pass
-    ``QueryService(backend=...)``).
-    """
-    from repro.service.backend import make_backend
-
-    warnings.warn(
-        "ShardExecutor is deprecated; use make_backend()/QueryService(backend=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if workers == 0:
-        return make_backend("serial", store)
-    return make_backend("pool", store, workers=workers)

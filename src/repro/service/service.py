@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.service.backend import _UNSET, ExecutionBackend, resolve_backend
+from repro.service.backend import ExecutionBackend, resolve_backend
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore
 from repro.xpath.axes import resolve_engine
@@ -119,9 +119,6 @@ class QueryService:
         worker fabric).  Defaults to the ``REPRO_BACKEND`` environment
         variable, else a pool with one worker per shard (capped by
         CPU count).
-    workers:
-        Deprecated alias for ``backend`` (``0`` = serial, ``n`` = pool
-        of ``n``); emits a :class:`DeprecationWarning`.
     plan_cache_size / result_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     planner:
@@ -149,7 +146,6 @@ class QueryService:
         self,
         store: ShardedStore,
         engine: str = "vectorized",
-        workers: Optional[int] = _UNSET,
         plan_cache_size: int = 256,
         result_cache_size: int = 1024,
         planner: bool = True,
@@ -160,7 +156,7 @@ class QueryService:
         self.engine = resolve_engine(engine)
         self.plan_cache = LRUCache(plan_cache_size)
         self.result_cache = LRUCache(result_cache_size)
-        self.backend = resolve_backend(store, backend=backend, workers=workers)
+        self.backend = resolve_backend(store, backend=backend)
         self.planner_enabled = planner
         self.feedback_enabled = bool(
             feedback and getattr(store, "feedback", None) is not None
@@ -507,17 +503,6 @@ class QueryService:
                     else {"enabled": False}
                 ),
             }
-
-    def cache_info(self) -> dict:
-        """Cache occupancy/hit statistics plus the current store epoch
-        (a trimmed view of :meth:`stats_snapshot`, kept for callers of
-        the original shape)."""
-        snapshot = self.stats_snapshot()
-        return {
-            "epoch": snapshot["epoch"],
-            "plan": snapshot["plan"],
-            "result": snapshot["result"],
-        }
 
     def clear_caches(self) -> None:
         self.plan_cache.clear()

@@ -562,32 +562,11 @@ def _staircase_vectorized(op: StaircaseStep, rt, context):
     )
 
 
-@register_kernel(PredicateFilter, "scalar")
-def _filter_scalar(op: PredicateFilter, rt, candidates):
-    observer = getattr(rt, "observer", None)
-    for predicate in op.predicates:
-        if len(candidates) == 0:
-            return candidates
-        if observer is None:
-            candidates = rt.filter_predicate_scalar(
-                candidates, op.axis, predicate
-            )
-        else:
-            n_in, started = len(candidates), time.perf_counter_ns()
-            candidates = rt.filter_predicate_scalar(
-                candidates, op.axis, predicate
-            )
-            observer.record(
-                predicate_signature(op.axis, predicate),
-                n_in,
-                len(candidates),
-                time.perf_counter_ns() - started,
-            )
-    return candidates
-
-
-@register_kernel(PredicateFilter, "vectorized")
-def _filter_vectorized(op: PredicateFilter, rt, candidates):
+def _filter(op: PredicateFilter, rt, candidates, bulk: bool):
+    """Apply ``op``'s predicates in order; ``bulk`` tries the
+    vectorized mask first and falls back to the per-node interpreter
+    when a predicate shape has no mask.  Each predicate is timed only
+    while an observer is attached."""
     observer = getattr(rt, "observer", None)
     for predicate in op.predicates:
         if len(candidates) == 0:
@@ -595,7 +574,7 @@ def _filter_vectorized(op: PredicateFilter, rt, candidates):
         n_in, started = len(candidates), (
             time.perf_counter_ns() if observer is not None else 0
         )
-        mask = rt.bulk_predicate_mask(candidates, predicate)
+        mask = rt.bulk_predicate_mask(candidates, predicate) if bulk else None
         if mask is not None:
             candidates = candidates[mask]
         else:
@@ -610,6 +589,16 @@ def _filter_vectorized(op: PredicateFilter, rt, candidates):
                 time.perf_counter_ns() - started,
             )
     return candidates
+
+
+@register_kernel(PredicateFilter, "scalar")
+def _filter_scalar(op: PredicateFilter, rt, candidates):
+    return _filter(op, rt, candidates, bulk=False)
+
+
+@register_kernel(PredicateFilter, "vectorized")
+def _filter_vectorized(op: PredicateFilter, rt, candidates):
+    return _filter(op, rt, candidates, bulk=True)
 
 
 def _positional_per_node(op: PositionalSelect, rt, context):
@@ -660,20 +649,6 @@ _EXISTS_CHUNK = 8
 _EXISTS_GROWTH = 4
 
 
-def _run_branch(ops: Tuple[Operator, ...], runtime, context) -> np.ndarray:
-    if getattr(runtime, "observer", None) is not None:
-        return _run_branch_observed(ops, runtime, context)
-    for op in ops:
-        context = dispatch(op, runtime, context)
-        if context is not DOCUMENT_CONTEXT and len(context) == 0:
-            # Every downstream operator maps empty to empty.
-            return _empty()
-    if context is DOCUMENT_CONTEXT:
-        # A bare "/" — the document node itself is not encoded.
-        return _empty()
-    return context
-
-
 def _frontier_size(context) -> int:
     """Context cardinality for observation: the document node, the
     implicit root seed, and a bare rank all count as one context node."""
@@ -698,29 +673,31 @@ def _operator_signature(op: Operator) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _run_branch_observed(
-    ops: Tuple[Operator, ...], runtime, context
-) -> np.ndarray:
-    """The instrumented twin of :func:`_run_branch`.
+def _run_branch(ops: Tuple[Operator, ...], runtime, context) -> np.ndarray:
+    """Thread ``context`` through one branch's operators.
 
-    Only runs when the worker attached an observer for a *sampled*
-    drive — per-operator timing and cardinality bookkeeping stays off
-    the unobserved hot path entirely.
+    With an observer attached (sampled drives only), each operator's
+    input and output frontier sizes and its time are recorded; without
+    one, no clock is read and no signature is built.
     """
-    observer = runtime.observer
+    observer = getattr(runtime, "observer", None)
     for op in ops:
-        n_in = _frontier_size(context)
-        started = time.perf_counter_ns()
-        context = dispatch(op, runtime, context)
-        elapsed = time.perf_counter_ns() - started
-        signature = _operator_signature(op)
-        if signature is not None:
-            observer.record(
-                signature, n_in, _frontier_size(context), elapsed
-            )
+        if observer is None:
+            context = dispatch(op, runtime, context)
+        else:
+            n_in, started = _frontier_size(context), time.perf_counter_ns()
+            context = dispatch(op, runtime, context)
+            elapsed = time.perf_counter_ns() - started
+            signature = _operator_signature(op)
+            if signature is not None:
+                observer.record(
+                    signature, n_in, _frontier_size(context), elapsed
+                )
         if context is not DOCUMENT_CONTEXT and len(context) == 0:
+            # Every downstream operator maps empty to empty.
             return _empty()
     if context is DOCUMENT_CONTEXT:
+        # A bare "/" — the document node itself is not encoded.
         return _empty()
     return context
 

@@ -15,7 +15,6 @@ import gc
 import os
 import signal
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from repro.service import (
     make_backend,
 )
 from repro.service.backend import BACKEND_ENV, resolve_backend
-from repro.service.executor import ShardExecutor, ShardTask
+from repro.service.executor import ShardTask
 from repro.service.fabric import (
     _SHM_DIR,
     SegmentPool,
@@ -192,37 +191,13 @@ class TestBackendSelection:
     def test_explicit_arguments_beat_env(self, store, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "pool:2")
         assert isinstance(resolve_backend(store, backend="serial"), SerialBackend)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert isinstance(resolve_backend(store, workers=0), SerialBackend)
-
-    def test_backend_and_workers_conflict(self, store):
-        with pytest.raises(ReproError, match="not both"):
-            QueryService(store, backend="serial", workers=2)
-
-    def test_workers_shim_warns_and_maps(self, store):
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(store, workers=0)
-        assert isinstance(service.backend, SerialBackend)
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(store, workers=2)
-        assert isinstance(service.backend, PoolBackend)
-        assert service.backend.workers == 2
-        service.close()
-
-    def test_shard_executor_shim(self, store):
-        with pytest.warns(DeprecationWarning):
-            backend = ShardExecutor(store, workers=0)
-        assert isinstance(backend, SerialBackend)
-        with pytest.warns(DeprecationWarning):
-            backend = ShardExecutor(store, workers=1)
-        assert isinstance(backend, PoolBackend)
 
     def test_negative_workers_still_rejected(self, store):
+        for spec in ("serial:0", "pool:0", "pool:-1", "fabric:0"):
+            with pytest.raises(ReproError, match="must be >= 1"):
+                QueryService(store, backend=spec)
         with pytest.raises(ReproError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                QueryService(store, workers=-1)
+            PoolBackend(store, workers=0)
         with pytest.raises(ReproError):
             FabricBackend(store, workers=0)
 

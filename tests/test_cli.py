@@ -65,9 +65,9 @@ class TestQuery:
         assert "join statistics" in capsys.readouterr().err
 
     def test_query_strategies_agree(self, xml_file, capsys):
-        main(["query", xml_file, "//name", "--strategy", "staircase"])
+        main(["query", xml_file, "//name", "--engine", "scalar"])
         a = capsys.readouterr().out
-        main(["query", xml_file, "//name", "--strategy", "vectorized"])
+        main(["query", xml_file, "//name", "--engine", "vectorized"])
         b = capsys.readouterr().out
         assert a == b
 
@@ -166,7 +166,7 @@ class TestShardServeBatch:
         capsys.readouterr()
         assert (
             main(
-                ["serve-batch", store_dir, "//person", "--workers", "0",
+                ["serve-batch", store_dir, "//person", "--backend", "serial",
                  "--repeat", "2", "--stats", "--per-document"]
             )
             == 0
@@ -233,6 +233,12 @@ class TestShardServeBatch:
         err = capsys.readouterr().err
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(error_lines) == 1
+
+    def test_serve_batch_zero_workers_is_a_usage_error(self, store_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-batch", store_dir, "//person", "--backend", "pool:0"])
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_serve_batch_count_mode(self, store_dir, capsys):
         capsys.readouterr()
@@ -355,3 +361,79 @@ class TestUpdate:
         assert "physical pipeline:" in out
         assert "StaircaseStep" in out
         assert "terminal Count" in out
+
+
+def _observed_rows(out: str):
+    """``(operator, in, out)`` of each row of the ``observed:`` table."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("observed:"))
+    assert lines[start + 1].split()[:3] == ["operator", "in", "out"]
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("  ") or line.startswith("  staircase:"):
+            break
+        label, numbers = line[2:44].strip(), line[44:].split()
+        rows.append((label, numbers[0], numbers[1]))
+    return rows
+
+
+def _analyzed_count(out: str) -> int:
+    line = next(line for line in out.splitlines() if line.startswith("result:"))
+    return int(line.split()[1].replace(",", ""))
+
+
+class TestExplain:
+    QUERY = "//open_auction[bidder]/seller"
+
+    @pytest.fixture
+    def xmark_file(self, tmp_path):
+        path = str(tmp_path / "auction.xml")
+        assert main(["generate", "--size", "0.05", "-o", path]) == 0
+        return path
+
+    def _count(self, document, capsys) -> int:
+        capsys.readouterr()
+        assert main(["query", document, self.QUERY, "--mode", "count"]) == 0
+        return int(capsys.readouterr().out)
+
+    def test_cli_explain(self, tmp_path, capsys):
+        path = tmp_path / "d.xml"
+        path.write_text("<a><b/><b/></a>")
+        assert main(["explain", str(path), "/descendant::b"]) == 0
+        out = capsys.readouterr().out
+        assert "staircase_join_desc" in out
+
+    def test_cli_explain_pushdown_off(self, tmp_path, capsys):
+        path = tmp_path / "d.xml"
+        path.write_text("<a><b/></a>")
+        assert main(["explain", str(path), "/descendant::b", "--pushdown", "off"]) == 0
+        assert "forced" in capsys.readouterr().out
+
+    def test_analyze_on_a_document(self, xmark_file, tmp_path, capsys):
+        npz = str(tmp_path / "auction.npz")
+        assert main(["encode", xmark_file, "-o", npz]) == 0
+        expected = self._count(npz, capsys)
+        assert main(["explain", npz, self.QUERY, "--analyze"]) == 0
+        out = capsys.readouterr().out
+        assert "observed: 1 sampled drive(s) over 1 shard(s)" in out
+        rows = _observed_rows(out)
+        assert [label for label, _, _ in rows] == [
+            "descendant::open_auction",
+            "descendant filter [child::bidder]",
+            "child::seller",
+        ]
+        assert rows[-1][2] == f"{expected:,}"
+        assert _analyzed_count(out) == expected > 0
+
+    def test_analyze_on_a_one_shard_store(self, xmark_file, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["shard", xmark_file, "-o", store, "--shards", "1"]) == 0
+        expected = self._count(xmark_file, capsys)
+        assert main(["explain", store, self.QUERY, "--analyze"]) == 0
+        from_store = capsys.readouterr().out
+        assert main(["explain", xmark_file, self.QUERY, "--analyze"]) == 0
+        from_document = capsys.readouterr().out
+        assert "observed: 1 sampled drive(s) over 1 shard(s)" in from_store
+        assert _observed_rows(from_store) == _observed_rows(from_document)
+        assert _analyzed_count(from_store) == expected
+        assert _analyzed_count(from_document) == expected

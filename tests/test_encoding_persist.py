@@ -1,6 +1,7 @@
 """Persistence tests: save/load round-trip and format hygiene."""
 
 import mmap
+import os
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ class TestFormatVersions:
         assert tables_equal(small_xmark, loaded)
         assert isinstance(loaded.post, np.memmap) == (version == 2)
         assert isinstance(loaded.post, PagedArray) == (version == 3)
+
+    @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
+    def test_load_survives_unlink_after_open(
+        self, small_xmark, tmp_path, monkeypatch, version
+    ):
+        """A commit may unlink a shard file while a reader loads it: once
+        the file is open, every member is read through that open file."""
+        from repro.encoding import persist
+
+        path = str(tmp_path / f"v{version}.npz")
+        save_version(small_xmark, path, version)
+        opened = persist._load_archive
+
+        def unlink_then_load(*args):
+            os.unlink(path)
+            return opened(*args)
+
+        monkeypatch.setattr(persist, "_load_archive", unlink_then_load)
+        loaded = load(path, mmap=True)
+        assert not os.path.exists(path)
+        assert tables_equal(small_xmark, loaded)
 
     def test_mmap_columns_are_file_backed_views(self, fig1_doc, tmp_path):
         path = str(tmp_path / "doc.npz")

@@ -188,15 +188,15 @@ class TestEvaluatorEngines:
         assert scalar.tolist() == bulk.tolist(), query
 
     def test_engine_aliases(self, fig1_doc):
-        for spelling in ("scalar", "staircase"):
-            assert Evaluator(fig1_doc, engine=spelling).engine == "scalar"
-        assert Evaluator(fig1_doc, strategy="staircase").engine == "scalar"
-        assert Evaluator(fig1_doc, strategy="vectorized").engine == "vectorized"
-        # engine wins over the legacy alias
-        assert (
-            Evaluator(fig1_doc, strategy="staircase", engine="vectorized").engine
-            == "vectorized"
-        )
+        # No engine named = the scalar engine; the strategy-era "staircase"
+        # alias and the strategy= keyword are retired and refused.
+        assert Evaluator(fig1_doc).engine == "scalar"
+        for spelling in ("scalar", "vectorized"):
+            assert Evaluator(fig1_doc, engine=spelling).engine == spelling
+        with pytest.raises(XPathEvaluationError):
+            Evaluator(fig1_doc, engine="staircase")
+        with pytest.raises(TypeError):
+            Evaluator(fig1_doc, strategy="vectorized")
 
     def test_unknown_engine_rejected(self, fig1_doc):
         with pytest.raises(XPathEvaluationError):

@@ -1,18 +1,26 @@
-"""EXPLAIN output tests."""
+"""EXPLAIN output tests: what ``repro explain`` prints for a document."""
 
 
 from repro.core.staircase import SkipMode
-from repro.engine.explain import explain
+from repro.xpath.pipeline import compile_plan
+from repro.xpath.planner import Planner, TagStatistics
+
+
+def explain(doc, query, pushdown="auto", mode=None):
+    """The logical plan and the physical pipeline, as ``explain`` prints them."""
+    plan = Planner(TagStatistics.from_doc(doc), pushdown=pushdown).plan(query)
+    return plan.describe() + "\n\n" + compile_plan(plan, skip_mode=mode).describe()
 
 
 class TestExplain:
     def test_q1_plan_shape(self, small_xmark):
         text = explain(small_xmark, "/descendant::profile/descendant::education")
         assert "XPath: /descendant::profile/descendant::education" in text
-        assert "anchor: document node" in text
-        assert "staircase_join_desc (skip=estimate)" in text
+        assert "ContextInit(document)" in text
+        assert "staircase_join_desc" in text
+        assert "scalar skip=estimate" in text
         assert "step 1" in text and "step 2" in text
-        assert "epilogue: none" in text
+        assert "terminal Materialize" in text
 
     def test_q2_plan_mentions_both_operators(self, small_xmark):
         text = explain(small_xmark, "/descendant::increase/ancestor::bidder")
@@ -52,33 +60,16 @@ class TestExplain:
 
     def test_predicates_listed(self, small_xmark):
         text = explain(small_xmark, "//open_auction[bidder]")
-        assert "predicate     : [child::bidder]" in text
+        assert "predicate   : [child::bidder]" in text
+        assert "PredicateFilter([child::bidder])" in text
 
     def test_union_plans(self, small_xmark):
         text = explain(small_xmark, "//bidder | //seller")
-        assert text.startswith("UNION")
-        assert text.count("XPath:") == 2
+        assert "union of sub-plans" in text
+        assert "branch 1:" in text and "branch 2:" in text
+        assert "DocOrderDedup(merge branches)" in text
 
     def test_cardinalities_from_catalogue(self, small_xmark):
         expected = len(small_xmark.pres_with_tag("increase"))
         text = explain(small_xmark, "/descendant::increase")
-        assert f"({expected:,} elements)" in text
-
-
-class TestExplainCLI:
-    def test_cli_explain(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "d.xml"
-        path.write_text("<a><b/><b/></a>")
-        assert main(["explain", str(path), "/descendant::b"]) == 0
-        out = capsys.readouterr().out
-        assert "staircase_join_desc" in out
-
-    def test_cli_explain_pushdown_off(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "d.xml"
-        path.write_text("<a><b/></a>")
-        assert main(["explain", str(path), "/descendant::b", "--pushdown", "off"]) == 0
-        assert "forced" in capsys.readouterr().out
+        assert f"'increase' — {expected:,} elements" in text

@@ -1,50 +1,58 @@
 """Cost-model tests for the pushdown decision."""
 
 
-from repro.engine.planner import CostModel, choose_pushdown
+from repro.xpath.parser import parse_xpath
+from repro.xpath.planner import Planner, TagStatistics
+
+
+def _decisions(plan):
+    """The steps whose name-test placement the cost model had to choose."""
+    return [d for d in plan.steps if d.cost_alternative is not None]
 
 
 class TestCostModel:
     def test_tag_cardinalities(self, small_xmark):
-        model = CostModel(small_xmark)
-        assert model.tag_cardinality("increase") == len(
-            small_xmark.pres_with_tag("increase")
-        )
-        assert model.tag_cardinality("no-such-tag") == 0
+        stats = TagStatistics.from_doc(small_xmark)
+        assert stats.count("increase") == len(small_xmark.pres_with_tag("increase"))
+        assert stats.count("no-such-tag") == 0
 
     def test_selective_tag_prefers_pushdown(self, small_xmark):
         """'pushing the name test ... obviously makes sense for selective
         name tests only': education is rare → pushdown wins."""
-        model = CostModel(small_xmark)
-        context = len(small_xmark.pres_with_tag("profile"))
-        push = model.step_cost("descendant", "education", context, pushdown=True)
-        no_push = model.step_cost("descendant", "education", context, pushdown=False)
-        assert push < no_push
+        stats = TagStatistics.from_doc(small_xmark)
+        query = "/descendant::profile/descendant::education"
+        push = Planner(stats, pushdown=True).plan(query).steps[1]
+        no_push = Planner(stats, pushdown=False).plan(query).steps[1]
+        assert push.cost < no_push.cost
+        assert (push.cost, no_push.cost) == (no_push.cost_alternative, push.cost_alternative)
 
     def test_estimates_are_positive_and_bounded(self, small_xmark):
-        model = CostModel(small_xmark)
+        stats = TagStatistics.from_doc(small_xmark)
+        planner = Planner(stats)
         for axis in ("descendant", "ancestor", "following"):
-            estimate = model.estimate_axis_result(axis, 10)
-            assert 0 <= estimate <= len(small_xmark)
+            plan = planner.plan(f"/descendant::bidder/{axis}::node()")
+            for decision in plan.steps:
+                assert 0 <= decision.est_out <= len(small_xmark)
 
 
 class TestChoice:
     def test_q1_decisions(self, small_xmark):
-        decisions = choose_pushdown(
-            small_xmark, "/descendant::profile/descendant::education"
+        plan = Planner(TagStatistics.from_doc(small_xmark)).plan(
+            "/descendant::profile/descendant::education"
         )
-        assert [d.step_index for d in decisions] == [0, 1]
-        assert [d.tag for d in decisions] == ["profile", "education"]
+        decisions = _decisions(plan)
+        assert [d.index for d in decisions] == [0, 1]
+        assert [d.step.test.name for d in decisions] == ["profile", "education"]
         # Both tags are highly selective in XMark → pushdown for both.
         assert all(d.pushdown for d in decisions)
+        assert [d.reason for d in decisions] == ["cost model", "cost model"]
 
     def test_ineligible_steps_skipped(self, small_xmark):
-        decisions = choose_pushdown(small_xmark, "/site/people/person")
-        assert decisions == []
+        plan = Planner(TagStatistics.from_doc(small_xmark)).plan("/site/people/person")
+        assert _decisions(plan) == []
+        assert plan.pushdown_steps == frozenset()
 
     def test_accepts_parsed_path(self, small_xmark):
-        from repro.xpath.parser import parse_xpath
-
         path = parse_xpath("/descendant::increase/ancestor::bidder")
-        decisions = choose_pushdown(small_xmark, path)
-        assert len(decisions) == 2
+        plan = Planner(TagStatistics.from_doc(small_xmark)).plan(path)
+        assert len(_decisions(plan)) == 2

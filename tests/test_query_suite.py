@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.harness.queries import QUERY_SUITE
-from repro.xpath.evaluator import evaluate
+from repro.xpath.evaluator import Evaluator, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +34,16 @@ class TestSuiteRuns:
 
     @pytest.mark.parametrize("query", QUERY_SUITE, ids=[q.key for q in QUERY_SUITE])
     def test_legacy_strategy_spelling_still_works(self, doc, query):
-        scalar = evaluate(doc, query.xpath, strategy="staircase")
-        bulk = evaluate(doc, query.xpath, strategy="vectorized")
+        """The retired ``strategy=`` keyword's two strategies live on as
+        engines: ``"staircase"`` is now spelled ``engine="scalar"`` and
+        ``"vectorized"`` kept its name.  Long-lived evaluators of both
+        agree with ``evaluate()``; the keyword itself is refused."""
+        scalar = Evaluator(doc, engine="scalar").evaluate(query.xpath)
+        bulk = Evaluator(doc, engine="vectorized").evaluate(query.xpath)
         assert scalar.tolist() == bulk.tolist()
+        assert scalar.tolist() == evaluate(doc, query.xpath).tolist()
+        with pytest.raises(TypeError):
+            evaluate(doc, query.xpath, strategy="staircase")
 
     def test_metadata_complete(self):
         keys = [q.key for q in QUERY_SUITE]

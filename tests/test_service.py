@@ -356,7 +356,7 @@ class TestCaching:
         with QueryService(store, backend="serial") as service:
             service.execute("//people", use_cache=False)
             service.execute("//people", use_cache=False)
-            info = service.cache_info()
+            info = service.stats_snapshot()
         assert info["plan"]["misses"] == 2
         assert info["plan"]["hits"] == 2
 
@@ -364,7 +364,7 @@ class TestCaching:
         with QueryService(store, backend="serial", planner=False) as service:
             service.execute("//people", use_cache=False)
             service.execute("//people", use_cache=False)
-            info = service.cache_info()
+            info = service.stats_snapshot()
         assert info["plan"]["misses"] == 1
         assert info["plan"]["hits"] == 1
 
@@ -387,7 +387,7 @@ class TestCaching:
     def test_duplicate_queries_in_cold_batch_run_once(self, store):
         with QueryService(store, backend="serial") as service:
             a, b = service.execute_batch(["//people", "//people"], use_cache=False)
-            info = service.cache_info()
+            info = service.stats_snapshot()
         assert not a.from_cache and not b.from_cache
         # one fan-out: the rank arrays are the same frozen objects
         for name in store.document_names():
@@ -668,7 +668,7 @@ class TestExecutor:
 
     def test_negative_workers_rejected(self, store):
         with pytest.raises(ReproError):
-            QueryService(store, workers=-1)
+            QueryService(store, backend="pool:-1")
 
     def test_worker_state_reuses_collections(self, store):
         state = ShardWorkerState(store.directory)

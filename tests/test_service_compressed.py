@@ -15,7 +15,7 @@ The headline properties:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.encoding.persist import load
 from repro.errors import ReproError
@@ -267,6 +267,7 @@ class TestSpliceReencodeProperty:
         seed=st.integers(0, 10**6),
         edits=st.lists(st.integers(0, 2), min_size=1, max_size=3),
     )
+    @example(seed=0, edits=[2, 2])
     @settings(max_examples=12, deadline=None)
     def test_random_edit_batches(self, seed, edits, tmp_path_factory):
         base = tmp_path_factory.mktemp("prop")

@@ -121,8 +121,8 @@ class TestEvaluatorRobustness:
     def test_strategies_agree_on_random_queries(self, path, seed):
         doc = encode(random_tree(40, seed))
         try:
-            scalar = evaluate(doc, path, strategy="staircase")
-            bulk = evaluate(doc, path, strategy="vectorized")
+            scalar = evaluate(doc, path, engine="scalar")
+            bulk = evaluate(doc, path, engine="vectorized")
         except ReproError:
             return
         assert scalar.tolist() == bulk.tolist(), str(path)
